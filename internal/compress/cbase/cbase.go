@@ -4,27 +4,36 @@
 package cbase
 
 import (
+	"encoding/binary"
+	"errors"
 	"fmt"
+	"math"
 	"sort"
 
 	"repro/internal/encode"
 )
 
 // EncodeSparse serializes selected (index, value) pairs:
-// [index block (delta varint)] [values, 4 bytes each]. Pairs are sorted by
-// index; idx and vals are mutated (sorted) in place.
+// [index block (delta varint)] [values, 4 bytes each]. Pairs must have
+// distinct indices. Ascending input, which every selector in this repository
+// emits, is encoded as is, checked in one pass; otherwise the pairs are first
+// sorted by index in place, mutating idx and vals. The payload is the only
+// allocation, sized exactly.
 func EncodeSparse(idx []int, vals []float32) []byte {
 	if len(idx) != len(vals) {
 		panic(fmt.Sprintf("cbase: %d indices vs %d values", len(idx), len(vals)))
 	}
-	encode.SortByIndex(idx, vals)
-	idxBlock := encode.EncodeIndices(idx)
-	w := encode.NewWriter(len(idxBlock) + 4*len(vals) + 8)
-	w.BytesSlice(idxBlock)
-	for _, v := range vals {
-		w.F32(v)
+	if !encode.Increasing(idx) {
+		encode.SortByIndex(idx, vals)
 	}
-	return w.Bytes()
+	block := encode.IndicesLen(idx)
+	buf := make([]byte, 0, encode.UvarintLen(uint64(block))+block+4*len(vals))
+	buf = binary.AppendUvarint(buf, uint64(block))
+	buf = encode.AppendIndices(buf, idx)
+	for _, v := range vals {
+		buf = binary.LittleEndian.AppendUint32(buf, math.Float32bits(v))
+	}
+	return buf
 }
 
 // DecodeSparse reconstructs a dense vector of the given size from
@@ -39,92 +48,39 @@ func DecodeSparse(buf []byte, size int) ([]float32, error) {
 }
 
 // DecodeSparseInto is the allocation-free form of DecodeSparse: it zeroes
-// dst and scatters the decoded (index, value) pairs into it. len(dst) is the
-// dense size.
+// dst and scatters the decoded (index, value) pairs into it, reading each
+// index delta beside its value. len(dst) is the dense size. Indices must be
+// strictly increasing and inside dst; on error dst holds a partial decode.
 func DecodeSparseInto(buf []byte, dst []float32) error {
-	r := encode.NewReader(buf)
-	idxBlock := r.BytesSlice()
-	if r.Err() != nil {
-		return r.Err()
+	blockLen, n := binary.Uvarint(buf)
+	if n <= 0 {
+		return errors.New("cbase: bad sparse index block length")
 	}
-	idx, err := encode.DecodeIndices(idxBlock)
+	buf = buf[n:]
+	if blockLen > uint64(len(buf)) {
+		return fmt.Errorf("cbase: sparse index block of %d bytes exceeds remaining %d", blockLen, len(buf))
+	}
+	block, vals := buf[:blockLen], buf[blockLen:]
+	idx, err := encode.NewIndexReader(block)
 	if err != nil {
 		return err
 	}
-	for i := range dst {
-		dst[i] = 0
+	count := idx.Len()
+	if count > len(vals)/4 {
+		return fmt.Errorf("cbase: %d sparse values need %d bytes, have %d", count, 4*count, len(vals))
 	}
-	for _, i := range idx {
-		if i < 0 || i >= len(dst) {
+	clear(dst)
+	for j := 0; j < count; j++ {
+		i, err := idx.Next()
+		if err != nil {
+			return err
+		}
+		if i >= len(dst) {
 			return fmt.Errorf("cbase: sparse index %d out of size %d", i, len(dst))
 		}
-		dst[i] = r.F32()
+		dst[i] = math.Float32frombits(binary.LittleEndian.Uint32(vals[4*j:]))
 	}
-	return r.Err()
-}
-
-// TopK returns the indices of the k elements of g with the largest absolute
-// values (k clamped to [1, len(g)] for non-empty g), in unspecified order.
-// Selection is O(d) expected via quickselect.
-func TopK(g []float32, k int) []int {
-	d := len(g)
-	if d == 0 {
-		return nil
-	}
-	if k < 1 {
-		k = 1
-	}
-	if k > d {
-		k = d
-	}
-	idx := make([]int, d)
-	for i := range idx {
-		idx[i] = i
-	}
-	quickSelectAbs(g, idx, k)
-	return idx[:k]
-}
-
-// quickSelectAbs partially sorts idx so its first k entries reference the
-// largest |g| values. Deterministic median-of-three pivoting keeps runs
-// reproducible.
-func quickSelectAbs(g []float32, idx []int, k int) {
-	lo, hi := 0, len(idx)-1
-	for lo < hi {
-		p := partitionAbs(g, idx, lo, hi)
-		switch {
-		case p == k-1:
-			return
-		case p < k-1:
-			lo = p + 1
-		default:
-			hi = p - 1
-		}
-	}
-}
-
-func partitionAbs(g []float32, idx []int, lo, hi int) int {
-	mid := lo + (hi-lo)/2
-	// Median-of-three on |g|, descending.
-	if abs(g[idx[mid]]) > abs(g[idx[lo]]) {
-		idx[lo], idx[mid] = idx[mid], idx[lo]
-	}
-	if abs(g[idx[hi]]) > abs(g[idx[lo]]) {
-		idx[lo], idx[hi] = idx[hi], idx[lo]
-	}
-	if abs(g[idx[mid]]) > abs(g[idx[hi]]) {
-		idx[mid], idx[hi] = idx[hi], idx[mid]
-	}
-	pivot := abs(g[idx[hi]])
-	i := lo
-	for j := lo; j < hi; j++ {
-		if abs(g[idx[j]]) > pivot {
-			idx[i], idx[j] = idx[j], idx[i]
-			i++
-		}
-	}
-	idx[i], idx[hi] = idx[hi], idx[i]
-	return i
+	return nil
 }
 
 func abs(x float32) float32 {

@@ -175,3 +175,62 @@ func TestKFor(t *testing.T) {
 		t.Fatal("KFor clamping wrong")
 	}
 }
+
+// dupIndexPayload is a hand-built sparse payload whose second index delta is
+// zero: index 2 twice. Valid encoders never emit it.
+var dupIndexPayload = []byte{
+	3,       // index block length
+	2, 3, 0, // count 2, deltas 3 (index 2) and 0 (index 2 again)
+	0, 0, 0x80, 0x3f, // 1.0
+	0, 0, 0, 0x40, // 2.0
+}
+
+func TestDecodeSparseRejectsDuplicateIndex(t *testing.T) {
+	if _, err := DecodeSparse(dupIndexPayload, 8); err == nil {
+		t.Fatal("duplicate index decoded without error")
+	}
+	if err := DecodeSparseInto(dupIndexPayload, make([]float32, 8)); err == nil {
+		t.Fatal("DecodeSparseInto accepted a duplicate index")
+	}
+	// The same payload with a non-zero second delta is valid.
+	ok := append([]byte(nil), dupIndexPayload...)
+	ok[3] = 1
+	dense, err := DecodeSparse(ok, 8)
+	if err != nil || dense[2] != 1 || dense[3] != 2 {
+		t.Fatalf("valid payload: %v, err %v", dense, err)
+	}
+}
+
+func TestDecodeSparseRejectsTruncated(t *testing.T) {
+	buf := EncodeSparse([]int{1, 4}, []float32{1, 2})
+	for n := 0; n < len(buf); n++ {
+		if err := DecodeSparseInto(buf[:n], make([]float32, 8)); err == nil {
+			t.Fatalf("accepted a payload truncated to %d of %d bytes", n, len(buf))
+		}
+	}
+}
+
+func TestSparseAllocCeilings(t *testing.T) {
+	if raceEnabled {
+		t.Skip("sync.Pool drops items at random under the race detector")
+	}
+	const d = 294912
+	r := fxrand.New(7)
+	g := make([]float32, d)
+	for i := range g {
+		g[i] = r.NormFloat32()
+	}
+	k := KFor(0.01, d)
+	var buf []byte
+	if a := testing.AllocsPerRun(20, func() { buf = EncodeTopK(g, k) }); a > 1 {
+		t.Fatalf("EncodeTopK at d=%d made %v allocations, want at most 1 (the payload)", d, a)
+	}
+	dst := make([]float32, d)
+	if a := testing.AllocsPerRun(20, func() {
+		if err := DecodeSparseInto(buf, dst); err != nil {
+			t.Fatal(err)
+		}
+	}); a != 0 {
+		t.Fatalf("DecodeSparseInto made %v allocations, want 0", a)
+	}
+}

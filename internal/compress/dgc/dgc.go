@@ -82,13 +82,19 @@ func (c *Compressor) Compress(g []float32, info grace.TensorInfo) (*grace.Payloa
 	}
 	// The sampled threshold can overshoot badly; fall back to exact top-k
 	// selection over the candidates (one hierarchical refinement step, the
-	// expensive loop §V-D profiles).
+	// expensive loop §V-D profiles). TopK over the candidates' values returns
+	// positions into idx in ascending order, so mapping them back keeps the
+	// indices ascending.
 	if len(idx) > 2*k {
-		cand := make([]float32, d)
-		for _, i := range idx {
-			cand[i] = v[i]
+		cand := make([]float32, len(idx))
+		for j, i := range idx {
+			cand[j] = v[i]
 		}
-		idx = cbase.TopK(cand, k)
+		sel := cbase.TopK(cand, k)
+		for j, p := range sel {
+			sel[j] = idx[p]
+		}
+		idx = sel
 	} else if len(idx) == 0 {
 		idx = cbase.TopK(v, k)
 	}
@@ -110,6 +116,14 @@ func (c *Compressor) Compress(g []float32, info grace.TensorInfo) (*grace.Payloa
 func (c *Compressor) Decompress(p *grace.Payload, info grace.TensorInfo) ([]float32, error) {
 	return cbase.DecodeSparse(p.Bytes, info.Size())
 }
+
+// DecompressInto restores the dense gradient into dst without allocating
+// (grace.DecompressorInto).
+func (c *Compressor) DecompressInto(p *grace.Payload, info grace.TensorInfo, dst []float32) error {
+	return cbase.DecodeSparseInto(p.Bytes, dst)
+}
+
+var _ grace.DecompressorInto = (*Compressor)(nil)
 
 // CodecState exports a deep copy of the per-tensor momentum (slot "u") and
 // accumulator (slot "v") state for checkpointing.

@@ -1,6 +1,8 @@
 package dgc
 
 import (
+	"fmt"
+	"math"
 	"testing"
 
 	"repro/internal/fxrand"
@@ -100,5 +102,76 @@ func TestPerTensorState(t *testing.T) {
 	// Tensor b has no accumulated mass beyond its own first gradient.
 	if out[0] > 0.10001 {
 		t.Fatalf("tensor b inherited tensor a's accumulator: %v", out[0])
+	}
+}
+
+func TestOvershootFallbackSelectsExactTopK(t *testing.T) {
+	// Nearly every element ties at magnitude 1, so the sampled threshold (1)
+	// admits them all, far more than 2k: the fallback must pick the k
+	// largest candidates exactly, ties going to the lowest indices.
+	c, _ := grace.New("dgc", grace.Options{Ratio: 0.01})
+	const d = 1000 // k = 10
+	g := make([]float32, d)
+	for i := range g {
+		g[i] = 1
+		if i%2 == 1 {
+			g[i] = -1
+		}
+	}
+	g[500], g[900], g[901] = 3, -4, 2
+	info := grace.NewTensorInfo("t", []int{d})
+	p, err := c.Compress(g, info)
+	if err != nil {
+		t.Fatal(err)
+	}
+	out, err := c.Decompress(p, info)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var got []int
+	for i, v := range out {
+		if v != 0 {
+			got = append(got, i)
+			if v != g[i] {
+				t.Fatalf("index %d sent %v, want %v", i, v, g[i])
+			}
+		}
+	}
+	want := []int{0, 1, 2, 3, 4, 5, 6, 500, 900, 901}
+	if fmt.Sprint(got) != fmt.Sprint(want) {
+		t.Fatalf("selected %v, want %v", got, want)
+	}
+}
+
+func TestDecompressIntoMatchesDecompress(t *testing.T) {
+	c, _ := grace.New("dgc", grace.Options{Ratio: 0.05})
+	r := fxrand.New(4)
+	const d = 3000
+	info := grace.NewTensorInfo("t", []int{d})
+	g := make([]float32, d)
+	dst := make([]float32, d)
+	for step := 0; step < 5; step++ {
+		for i := range g {
+			g[i] = r.NormFloat32()
+		}
+		p, err := c.Compress(g, info)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want, err := c.Decompress(p, info)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i := range dst {
+			dst[i] = float32(math.NaN()) // stale contents must be overwritten
+		}
+		if err := c.(grace.DecompressorInto).DecompressInto(p, info, dst); err != nil {
+			t.Fatal(err)
+		}
+		for i := range want {
+			if math.Float32bits(dst[i]) != math.Float32bits(want[i]) {
+				t.Fatalf("step %d index %d: DecompressInto %v, Decompress %v", step, i, dst[i], want[i])
+			}
+		}
 	}
 }

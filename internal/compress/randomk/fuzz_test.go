@@ -23,6 +23,8 @@ func FuzzDecompress(f *testing.F) {
 	}
 	f.Add([]byte{})
 	f.Add([]byte{0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x7F})
+	// Index 2 twice (second delta zero): decoders must reject it.
+	f.Add([]byte{3, 2, 3, 0, 0, 0, 0x80, 0x3f, 0, 0, 0, 0x40})
 	f.Fuzz(func(t *testing.T, data []byte) {
 		if len(data) > 1<<16 {
 			t.Skip()

@@ -76,6 +76,14 @@ func (c *Compressor) Decompress(p *grace.Payload, info grace.TensorInfo) ([]floa
 	return cbase.DecodeSparse(p.Bytes, info.Size())
 }
 
+// DecompressInto restores the dense gradient into dst without allocating
+// (grace.DecompressorInto).
+func (c *Compressor) DecompressInto(p *grace.Payload, info grace.TensorInfo, dst []float32) error {
+	return cbase.DecodeSparseInto(p.Bytes, dst)
+}
+
+var _ grace.DecompressorInto = (*Compressor)(nil)
+
 func abs32(x float32) float32 {
 	if x < 0 {
 		return -x

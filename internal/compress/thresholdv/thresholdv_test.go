@@ -1,6 +1,7 @@
 package thresholdv
 
 import (
+	"math"
 	"testing"
 
 	"repro/internal/fxrand"
@@ -59,5 +60,36 @@ func TestNeverEmptyPayload(t *testing.T) {
 func TestRejectsNegativeThreshold(t *testing.T) {
 	if _, err := grace.New("thresholdv", grace.Options{Threshold: -1}); err == nil {
 		t.Fatal("expected error")
+	}
+}
+
+func TestDecompressIntoMatchesDecompress(t *testing.T) {
+	c, _ := grace.New("thresholdv", grace.Options{Threshold: 1.5})
+	r := fxrand.New(9)
+	const d = 2000
+	info := grace.NewTensorInfo("t", []int{d})
+	g := make([]float32, d)
+	for i := range g {
+		g[i] = r.NormFloat32()
+	}
+	p, err := c.Compress(g, info)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := c.Decompress(p, info)
+	if err != nil {
+		t.Fatal(err)
+	}
+	dst := make([]float32, d)
+	for i := range dst {
+		dst[i] = float32(math.NaN()) // stale contents must be overwritten
+	}
+	if err := c.(grace.DecompressorInto).DecompressInto(p, info, dst); err != nil {
+		t.Fatal(err)
+	}
+	for i := range want {
+		if math.Float32bits(dst[i]) != math.Float32bits(want[i]) {
+			t.Fatalf("index %d: DecompressInto %v, Decompress %v", i, dst[i], want[i])
+		}
 	}
 }

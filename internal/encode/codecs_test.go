@@ -2,6 +2,7 @@ package encode
 
 import (
 	"bytes"
+	"encoding/binary"
 	"math"
 	"sort"
 	"testing"
@@ -313,5 +314,28 @@ func BenchmarkHuffmanEncode(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		_ = HuffmanEncode(src)
+	}
+}
+
+func TestDecodeIndicesRejectsRepeatedIndex(t *testing.T) {
+	// count 2, deltas 3 and 0: index 2 twice.
+	if _, err := DecodeIndices([]byte{2, 3, 0}); err == nil {
+		t.Fatal("repeated index decoded without error")
+	}
+	// A delta that overflows int after a valid index.
+	huge := binary.AppendUvarint([]byte{2, 5}, math.MaxUint64)
+	if _, err := DecodeIndices(huge); err == nil {
+		t.Fatal("overflowing delta decoded without error")
+	}
+	if got, err := DecodeIndices([]byte{2, 3, 1}); err != nil || len(got) != 2 || got[0] != 2 || got[1] != 3 {
+		t.Fatalf("valid list: %v, err %v", got, err)
+	}
+}
+
+func TestIndicesLenIsExact(t *testing.T) {
+	for _, idx := range [][]int{nil, {0}, {127}, {128}, {0, 1, 200, 20000, 1 << 40}} {
+		if got, want := IndicesLen(idx), len(EncodeIndices(idx)); got != want {
+			t.Fatalf("IndicesLen(%v) = %d, encoded %d bytes", idx, got, want)
+		}
 	}
 }
